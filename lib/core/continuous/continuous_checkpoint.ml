@@ -30,20 +30,23 @@ let make ~index ~commits ~prev ~accumulator ~delta_hash =
   let cp = { index; commits; prev; accumulator; delta_hash; digest = "" } in
   { cp with digest = recompute_digest cp }
 
-type chain = { mutable rev : checkpoint list (* newest first *) }
+type chain = {
+  mutable rev : checkpoint list; (* newest first *)
+  mutable count : int; (* List.length rev *)
+}
 
-let create () = { rev = [] }
-let length chain = List.length chain.rev
+let create () = { rev = []; count = 0 }
+let length chain = chain.count
 let checkpoints chain = List.rev chain.rev
 let head chain = match chain.rev with [] -> None | cp :: _ -> Some cp.digest
 
 let append chain ~commits ~accumulator ~delta_hash =
   if not (is_hex64 accumulator && is_hex64 delta_hash) then
     invalid_arg "Continuous_checkpoint.append: digests must be 64 hex chars";
-  let index = List.length chain.rev in
   let prev = match chain.rev with [] -> genesis | cp :: _ -> cp.digest in
-  let cp = make ~index ~commits ~prev ~accumulator ~delta_hash in
+  let cp = make ~index:chain.count ~commits ~prev ~accumulator ~delta_hash in
   chain.rev <- cp :: chain.rev;
+  chain.count <- chain.count + 1;
   cp
 
 type tamper =

@@ -1,8 +1,9 @@
 (** Tamper-evident checkpoint chain for continuous audits.
 
     Every [interval] commits, the continuous engine folds the cluster's
-    current integrity digests ({!Crypto.Accumulator.summarize} — eq 9
-    makes the fold enumeration-order-free) and its running delta-stream
+    current integrity digests ({!Crypto.Accumulator.summarize}, kept
+    current by {!Crypto.Accumulator.extend} — eq 9 makes the fold
+    enumeration-order-free) and its running delta-stream
     hash into a checkpoint, and hash-links it to its predecessor:
 
     {v digest_i = SHA-256("ckpt|" i "|" commits "|" digest_{i-1}

@@ -45,6 +45,9 @@ type t = {
   on_delta : delta -> unit;
   cache : Executor.cache;
   chain : Continuous_checkpoint.chain;
+  mutable folded : (Numtheory.Bignum.t Glsn.Map.t * Numtheory.Bignum.t) option;
+      (* digests the last checkpoint's summary covers, and that summary;
+         [None] until the first checkpoint *)
   mutable delta_hash : string;
   mutable commit_count : int;
   mutable crits : crit list;  (* ascending sid *)
@@ -278,10 +281,42 @@ let sync t =
       end)
     reg
 
-let checkpoint_now t =
+(* The accumulator summary over every stored record's digest.  By
+   eq (9) the last checkpoint's summary takes in only the digests stored
+   since — O(interval × 256) exponent bits instead of O(log) — as long
+   as every digest it covers is still stored unchanged.  Otherwise (the
+   first checkpoint, a rollback, a repaired or changed digest) it is
+   recomputed from scratch; the value is the same either way. *)
+let current_summary t =
   let params = Cluster.accumulator_params t.cluster in
-  let digests = List.map snd (Cluster.integrity_digests t.cluster) in
-  let summary = Crypto.Accumulator.summarize params digests in
+  let digests = Cluster.integrity_digests t.cluster in
+  let rescan () =
+    Obs.Metrics.incr "audit.delta.checkpoint_rescan";
+    ( Glsn.Map.of_seq (List.to_seq digests),
+      Crypto.Accumulator.summarize params (List.map snd digests) )
+  in
+  let folded, summary =
+    match t.folded with
+    | None -> rescan ()
+    | Some (folded, summary) ->
+      let kept, fresh =
+        List.partition (fun (g, _) -> Glsn.Map.mem g folded) digests
+      in
+      if
+        List.length kept = Glsn.Map.cardinal folded
+        && List.for_all
+             (fun (g, d) -> Numtheory.Bignum.equal d (Glsn.Map.find g folded))
+             kept
+      then
+        ( List.fold_left (fun m (g, d) -> Glsn.Map.add g d m) folded fresh,
+          Crypto.Accumulator.extend params ~summary (List.map snd fresh) )
+      else rescan ()
+  in
+  t.folded <- Some (folded, summary);
+  summary
+
+let checkpoint_now t =
+  let summary = current_summary t in
   let accumulator =
     Crypto.Sha256.digest_hex (Numtheory.Bignum.to_string summary)
   in
@@ -349,6 +384,7 @@ let create ?(ttp = Net.Node_id.Ttp "query") ?(verifier = Net.Node_id.Auditor)
       on_delta;
       cache = Executor.cache_create ();
       chain = Continuous_checkpoint.create ();
+      folded = None;
       delta_hash = Continuous_checkpoint.genesis;
       commit_count = 0;
       crits = [];

@@ -98,7 +98,13 @@ val deltas : t -> delta list
 (** Every delta emitted so far, oldest first. *)
 
 val checkpoint_now : t -> Continuous_checkpoint.checkpoint
-(** Cut, link and publish a checkpoint immediately. *)
+(** Cut, link and publish a checkpoint immediately.  While every digest
+    the previous checkpoint's summary covers is still stored unchanged,
+    its accumulator extends that summary with only the digests stored
+    since ({!Crypto.Accumulator.extend}, eq 9); otherwise — the first
+    checkpoint, a rollback, a changed digest — it summarizes every
+    stored digest afresh and counts [audit.delta.checkpoint_rescan].
+    The value is the same either way. *)
 
 val commits : t -> int
 val cache : t -> Executor.cache

@@ -25,9 +25,12 @@ let accumulate_bytes params acc payload =
   accumulate params acc ~y:(exponent_of_bytes payload)
 
 (* Quasi-commutativity (eq 9) collapses any fold from [x0] into a
-   single power of the long-lived seed: [x0^(Π yᵢ)].  Routing that
-   through the fixed-base window table makes every [x0]-rooted
-   computation squaring-free once the table is warm. *)
+   single power of the long-lived seed: [x0^(Π yᵢ)], routed through the
+   fixed-base window table.  That is squaring-free only while the
+   product stays within [Modular.fixed_base_max_bits] (16,384 bits,
+   about 64 SHA-256 exponents); past it [pow_base] takes the generic
+   windowed path, one squaring per exponent bit, and building the
+   product itself costs a quadratic number of limb multiplications. *)
 let product_exponent payloads =
   List.fold_left
     (fun acc payload -> Bignum.mul acc (exponent_of_bytes payload))
@@ -59,8 +62,19 @@ let witnesses params payloads =
           ~m:params.n ))
     payloads
 
-let summarize params digests =
-  accumulate_all params (List.map Bignum.to_string digests)
+let digest_payloads digests = List.map Bignum.to_string digests
+
+let summarize params digests = accumulate_all params (digest_payloads digests)
+
+let extend params ~summary digests =
+  (* Eq (9): (x0^(Π a))^(Π b) = x0^(Π a · Π b), so a running summary
+     takes in new digests without refolding the old ones. *)
+  match digests with
+  | [] -> summary
+  | _ ->
+    Modular.pow summary
+      (product_exponent (digest_payloads digests))
+      ~m:params.n (* generic-path: the base is the running summary *)
 
 let verify_membership params ~total ~witness payload =
   Bignum.equal (accumulate_bytes params witness payload) total

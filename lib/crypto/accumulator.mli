@@ -43,7 +43,22 @@ val summarize : params -> Bignum.t list -> Bignum.t
     summary value: each digest is re-hashed to an odd exponent and
     folded from [x0].  By eq (9) the result is independent of the
     collection order, which is what lets a checkpoint commit to "all
-    digests so far" without fixing an enumeration order. *)
+    digests so far" without fixing an enumeration order.
+
+    Cost grows with the whole collection: the product exponent carries
+    ~256 bits per digest, building it takes a quadratic number of limb
+    multiplications, and past 64 digests the exponent outgrows the
+    16,384-bit fixed-base table limit of {!Numtheory.Modular.pow_base},
+    so the power takes one squaring per exponent bit.  To keep a summary
+    current as digests arrive, use {!extend}. *)
+
+val extend : params -> summary:Bignum.t -> Bignum.t list -> Bignum.t
+(** [extend p ~summary ds] folds further digests into a running
+    summary: [summary^(Π yᵢ) mod n] with [yᵢ] the exponent of each
+    digest in [ds].  By eq (9),
+    [extend p ~summary:(summarize p a) b = summarize p (a @ b)], at the
+    cost of the new digests only (~256 exponent bits each).  The empty
+    list returns [summary] unchanged. *)
 
 (** {1 Membership witnesses}
 

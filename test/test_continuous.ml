@@ -110,6 +110,32 @@ let check_parity cluster engine registered =
             oracle.Auditor_engine.count v.Continuous.Incremental.count))
     registered
 
+(* The newest checkpoint commits to exactly what a from-scratch
+   summary over the stored digests gives, however the engine got its
+   running summary there. *)
+let check_checkpoint_parity cluster engine =
+  match
+    List.rev
+      (Continuous.Checkpoint.checkpoints (Continuous.Incremental.chain engine))
+  with
+  | [] -> Alcotest.fail "no checkpoint cut"
+  | cp :: _ ->
+    let scratch =
+      Crypto.Accumulator.summarize
+        (Cluster.accumulator_params cluster)
+        (List.map snd (Cluster.integrity_digests cluster))
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "checkpoint %d accumulator = from-scratch summary"
+         cp.Continuous.Checkpoint.index)
+      (Crypto.Sha256.digest_hex (Numtheory.Bignum.to_string scratch))
+      cp.Continuous.Checkpoint.accumulator
+
+let checkpoints_cut engine =
+  Continuous.Checkpoint.length (Continuous.Incremental.chain engine)
+
+let rescans () = Obs.Metrics.get "audit.delta.checkpoint_rescan"
+
 let run_differential (sched_ix, rows, crits) =
   let sched =
     List.nth (Spec.Schedule.suite ~seed:(Generators.chaos_seed ()) ()) sched_ix
@@ -153,13 +179,17 @@ let run_differential (sched_ix, rows, crits) =
                     (Query.to_string q)))
           crits
       in
+      let rescans_before = rescans () in
       register_due 0;
       check_parity cluster engine !registered;
       List.iteri
         (fun k row ->
+          let cut = checkpoints_cut engine in
           ignore
             (Cluster.submit cluster ~ticket ~origin:(Net.Node_id.User 7)
                ~attributes:row);
+          if checkpoints_cut engine > cut then
+            check_checkpoint_parity cluster engine;
           register_due (k + 1);
           check_parity cluster engine !registered)
         rows;
@@ -175,6 +205,11 @@ let run_differential (sched_ix, rows, crits) =
       Alcotest.(check string) "delta-stream hash replays"
         (Continuous.Incremental.delta_stream_hash engine)
         replayed;
+      (* … only the first checkpoint of this append-only stream
+         summarizes from scratch … *)
+      Alcotest.(check int) "checkpoint rescans"
+        (min 1 (checkpoints_cut engine))
+        (rescans () - rescans_before);
       (* … and the checkpoints cut along the way verify as a chain *)
       let chain = Continuous.Incremental.chain engine in
       (match
@@ -199,7 +234,9 @@ let differential_prop =
 let test_rollback_retracts () =
   let cluster, _ = Workload.Paper_example.build () in
   let registry = Continuous.Registry.create cluster in
-  let engine = Continuous.Incremental.create registry in
+  (* a checkpoint on every commit folds the transient record in before
+     the rollback takes it out again *)
+  let engine = Continuous.Incremental.create ~checkpoint_interval:1 registry in
   let q = parse {|id = "U9"|} in
   let sid =
     match Continuous.Incremental.register engine (Auditor_engine.Criteria q) with
@@ -220,6 +257,7 @@ let test_rollback_retracts () =
       (u 1, Value.Int 9); (u 2, Value.Money 9); (u 3, Value.Str "bank")
     ]
   in
+  let rescans_before = rescans () in
   (* second event's attribute is unsupported: the first event commits
      (the engine sees it), then the transaction rolls it back. *)
   (match
@@ -244,9 +282,107 @@ let test_rollback_retracts () =
   | Some v ->
     Alcotest.(check int) "back to empty" 0 v.Continuous.Incremental.count
   | None -> Alcotest.fail "no verdict");
+  (* the first checkpoint seeded the running summary with the transient
+     digest; once it is rolled back the summary cannot be extended, so
+     the next checkpoint rescans — once — and still commits to exactly
+     the stored digests *)
+  Alcotest.(check int) "transient commit cut the first checkpoint" 1
+    (checkpoints_cut engine);
+  Alcotest.(check int) "first checkpoint seeds by rescan" (rescans_before + 1)
+    (rescans ());
+  ignore (Continuous.Incremental.checkpoint_now engine);
+  check_checkpoint_parity cluster engine;
+  Alcotest.(check int) "rollback forces one rescan" (rescans_before + 2)
+    (rescans ());
+  ignore (Continuous.Incremental.checkpoint_now engine);
+  check_checkpoint_parity cluster engine;
+  Alcotest.(check int) "then the summary extends again" (rescans_before + 2)
+    (rescans ());
   match Auditor_engine.run cluster ~auditor (Auditor_engine.Criteria q) with
   | Ok a -> Alcotest.(check int) "from-scratch agrees" 0 a.Auditor_engine.count
   | Error e -> Alcotest.failf "oracle: %s" (Audit_error.to_string e)
+
+let paper_row k =
+  [ (d "time", Value.Time (1021234800 + k)); (d "id", Value.Str "U4");
+    (d "protocl", Value.Str "TCP"); (d "tid", Value.Str "T4");
+    (u 1, Value.Int k); (u 2, Value.Money (100 * k)); (u 3, Value.Str "bank")
+  ]
+
+(* On a pure-append stream only the first checkpoint summarizes the
+   whole log; every later one folds in just the records committed since
+   (eq 9) and still commits to the from-scratch summary. *)
+let test_append_stream_folds () =
+  let cluster, _ = Workload.Paper_example.build () in
+  let engine =
+    Continuous.Incremental.create ~checkpoint_interval:2
+      (Continuous.Registry.create cluster)
+  in
+  (match
+     Continuous.Incremental.register engine
+       (Auditor_engine.Criteria (parse {|protocl = "TCP" && C1 > 3|}))
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "register: %s" (Audit_error.to_string e));
+  let ticket =
+    Cluster.issue_ticket cluster ~id:"AP" ~principal:(Net.Node_id.User 4)
+      ~rights:[ Ticket.Read; Ticket.Write ] ~ttl:3600
+  in
+  let rescans_before = rescans () in
+  for k = 1 to 9 do
+    let cut = checkpoints_cut engine in
+    ignore
+      (Cluster.submit cluster ~ticket ~origin:(Net.Node_id.User 4)
+         ~attributes:(paper_row k));
+    if checkpoints_cut engine > cut then check_checkpoint_parity cluster engine
+  done;
+  Alcotest.(check int) "four checkpoints cut" 4 (checkpoints_cut engine);
+  Alcotest.(check int) "exactly one rescan" (rescans_before + 1) (rescans ())
+
+(* Hinted handoff: records committed while a home node is down land in
+   the summary as they commit, and the drain that later delivers their
+   parked fragments re-fires the commit hook without changing a stored
+   digest — the running summary keeps extending and stays exact. *)
+let test_drain_hints_parity () =
+  let cluster, _ = Workload.Paper_example.build () in
+  let engine =
+    Continuous.Incremental.create ~checkpoint_interval:2
+      (Continuous.Registry.create cluster)
+  in
+  let ticket =
+    Cluster.issue_ticket cluster ~id:"DH" ~principal:(Net.Node_id.User 4)
+      ~rights:[ Ticket.Read; Ticket.Write ] ~ttl:3600
+  in
+  let submit k =
+    Cluster.submit cluster ~ticket ~origin:(Net.Node_id.User 4)
+      ~attributes:(paper_row k)
+  in
+  ignore (submit 1);
+  ignore (submit 2);
+  check_checkpoint_parity cluster engine;
+  let rescans_before = rescans () in
+  let net = Cluster.net cluster in
+  let victim = Net.Node_id.Dla 0 in
+  Net.Network.take_down net victim;
+  for k = 3 to 5 do
+    match submit k with
+    | Cluster.Committed_degraded _ -> ()
+    | Cluster.Committed _ -> Alcotest.fail "expected a degraded commit"
+    | Cluster.Rejected e -> Alcotest.failf "rejected: %s" e
+  done;
+  ignore (Continuous.Incremental.checkpoint_now engine);
+  check_checkpoint_parity cluster engine;
+  Net.Network.bring_up net victim;
+  Net.Retry.reinstate (Cluster.retry cluster) victim;
+  let cut = checkpoints_cut engine in
+  Alcotest.(check int) "three parked fragments delivered" 3
+    (List.length (Cluster.drain_hints cluster));
+  Alcotest.(check bool) "the drain cut a checkpoint" true
+    (checkpoints_cut engine > cut);
+  check_checkpoint_parity cluster engine;
+  ignore (submit 6);
+  ignore (Continuous.Incremental.checkpoint_now engine);
+  check_checkpoint_parity cluster engine;
+  Alcotest.(check int) "no rescan across the drain" rescans_before (rescans ())
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint chain: honest verification + qcheck tamper suite         *)
@@ -503,6 +639,12 @@ let () =
         [ QCheck_alcotest.to_alcotest differential_prop;
           Alcotest.test_case "transaction rollback retracts" `Quick
             test_rollback_retracts
+        ] );
+      ( "checkpoint-fold",
+        [ Alcotest.test_case "append stream rescans once" `Quick
+            test_append_stream_folds;
+          Alcotest.test_case "parity across drain_hints" `Quick
+            test_drain_hints_parity
         ] );
       ( "checkpoint-chain",
         [ Alcotest.test_case "honest chains of length 0/1/n verify" `Quick

@@ -792,6 +792,43 @@ let test_accumulator_update_witness_many () =
            ~witness:batched e))
     pairs
 
+(* Eq (9) as a running fold: extending the summary of [a] by [b] gives
+   the summary of [a @ b] in any order.  Parameters come from each
+   sweep seed (CRYPTO_SEED appends one); the split, the digests and the
+   permutation are generated. *)
+let extend_params =
+  List.map
+    (fun seed -> (seed, lazy (Crypto.Accumulator.generate (Prng.create ~seed) ~bits:128)))
+    sweep_seeds
+
+let extend_case_gen =
+  let open QCheck.Gen in
+  let* seed = oneofl sweep_seeds in
+  let digests =
+    frequency
+      [ (1, return []); (3, list_size (int_range 1 6) (map Bignum.of_int nat)) ]
+  in
+  let* a = digests in
+  let* b = digests in
+  let* perm = shuffle_l (a @ b) in
+  return (seed, a, b, perm)
+
+let extend_case_print (seed, a, b, _) =
+  Printf.sprintf "seed=%d |a|=%d |b|=%d" seed (List.length a) (List.length b)
+
+let prop_accumulator_extend =
+  QCheck.Test.make ~name:"extend continues summarize" ~count:40
+    (QCheck.make ~print:extend_case_print extend_case_gen)
+    (fun (seed, a, b, perm) ->
+      let params = Lazy.force (List.assoc seed extend_params) in
+      let summary = Crypto.Accumulator.summarize params a in
+      let extended = Crypto.Accumulator.extend params ~summary b in
+      let whole = Crypto.Accumulator.summarize params (a @ b) in
+      (a <> [] || Bignum.equal summary params.Crypto.Accumulator.x0)
+      && (b <> [] || extended == summary)
+      && Bignum.equal extended whole
+      && Bignum.equal whole (Crypto.Accumulator.summarize params perm))
+
 (* ------------------------------------------------------------------ *)
 (* Blinding                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -1394,7 +1431,7 @@ let () =
              test_accumulator_witnesses_fast_path
         :: Alcotest.test_case "batched witness update" `Quick
              test_accumulator_update_witness_many
-        :: qt [ prop_accumulator_permutation ] );
+        :: qt [ prop_accumulator_permutation; prop_accumulator_extend ] );
       ( "blinding",
         Alcotest.test_case "affine equality" `Quick test_affine_blinding_preserves_equality
         :: Alcotest.test_case "monotone order" `Quick test_monotone_blinding_preserves_order
